@@ -9,9 +9,11 @@ all: build
 build:
 	go build ./...
 
-# Run the full test suite with the race detector, as CI does.
+# Run the full test suite with the race detector, as CI does, then repeat
+# the service lifecycle tests to surface ordering flakes.
 test:
 	go test -race ./...
+	go test -race -count=10 -run 'Campaign|Cancel|Watch|Prune|Lifecycle|Persist' ./internal/service
 
 # Formatting and static checks (gofmt + go vet + doc-comment, API-lock,
 # and markdown-link checks; no external linters).

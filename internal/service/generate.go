@@ -20,7 +20,7 @@ const maxValidFactor = 20
 // maxFuzzerEntries bounds the fuzzer cache: a long-lived daemon may serve
 // generation from far more grammars than it should hold parsed seed trees
 // for at once, so least-recently-used entries are evicted (mirroring how
-// maxJobHistory bounds the job ledger). An evicted grammar just pays the
+// maxHistory bounds the job and campaign ledgers). An evicted grammar just pays the
 // seed-parsing cost again on its next generate.
 const maxFuzzerEntries = 64
 

@@ -3,9 +3,8 @@ package service
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"log/slog"
+	"encoding/json"
 	"strings"
-	"sync"
 	"time"
 
 	"glade/internal/bytesets"
@@ -121,35 +120,21 @@ func (s JobState) terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCanceled
 }
 
-// Job is one learn job owned by the Manager. All mutable fields are
-// guarded by mu; changed is closed and replaced on every mutation so
-// watchers can block for "anything new" without polling.
+// Job is one learn job owned by the server: the shared run lifecycle plus
+// the learner's payload (event stream, stats, spans, and seeds).
 type Job struct {
-	ID   string
+	lifecycle
 	Spec JobSpec
 
-	mu      sync.Mutex
-	changed chan struct{}
-	state   JobState
-	// cancel aborts the running learn's context; set by run() for the
-	// duration of the learn. cancelRequested records that a DELETE asked
-	// for cancellation, so finish() maps the resulting context error to
-	// JobCanceled rather than JobFailed.
-	cancel          func()
-	cancelRequested bool
 	// events buffers progress for snapshots and watchers. Slots
 	// [0, len-1) hold the first events verbatim; once seq outgrows the
 	// buffer the tail slot is overwritten with the newest event, so the
 	// buffer is "head of the stream + latest". seq counts every event
 	// ever emitted and is the watcher cursor space.
-	events   []core.Progress
-	seq      int
-	err      string
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	stats    core.Stats
-	queries  metrics.QueryStats
+	events  []core.Progress
+	seq     int
+	stats   core.Stats
+	queries metrics.QueryStats
 	// spans are the learner's phase spans (core.Options.Tracer), recorded
 	// once the learn returns and persisted with the terminal record.
 	spans []telemetry.Span
@@ -158,30 +143,10 @@ type Job struct {
 	// in GrammarMeta), leaving seedCount for snapshots.
 	seeds     []string
 	seedCount int
-	// reqID is the submitting HTTP request's ID ("" for direct Submit
-	// calls); immutable after creation, threaded through lifecycle logs.
-	reqID string
-}
-
-// log returns the base logger with the job's identity attached, so every
-// lifecycle line carries the job ID and — when the job arrived over HTTP —
-// the submitting request's ID.
-func (j *Job) log(base *slog.Logger) *slog.Logger {
-	l := base.With("job", j.ID)
-	if j.reqID != "" {
-		l = l.With("req", j.reqID)
-	}
-	return l
 }
 
 func newJob(spec JobSpec) *Job {
-	return &Job{
-		ID:      newID(),
-		Spec:    spec,
-		changed: make(chan struct{}),
-		state:   JobQueued,
-		created: time.Now(),
-	}
+	return &Job{lifecycle: queuedLifecycle(), Spec: spec}
 }
 
 // newID returns a 12-hex-digit random identifier.
@@ -193,12 +158,6 @@ func newID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// touch wakes every watcher. Callers hold j.mu.
-func (j *Job) touch() {
-	close(j.changed)
-	j.changed = make(chan struct{})
-}
-
 // appendEvent records one learner progress event. maxEvents bounds memory:
 // char-gen on many seeds can emit thousands of literal events, so the
 // buffer keeps the head of the stream and overwrites the tail slot with
@@ -207,15 +166,14 @@ func (j *Job) touch() {
 const maxEvents = 512
 
 func (j *Job) appendEvent(p core.Progress) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.seq < maxEvents {
-		j.events = append(j.events, p)
-	} else {
-		j.events[len(j.events)-1] = p
-	}
-	j.seq++
-	j.touch()
+	j.update(func() {
+		if j.seq < maxEvents {
+			j.events = append(j.events, p)
+		} else {
+			j.events[len(j.events)-1] = p
+		}
+		j.seq++
+	})
 }
 
 // JobStatus is the wire form of a job snapshot.
@@ -305,7 +263,7 @@ func (j *Job) watch(cursor int) ([]core.Progress, int, JobState, <-chan struct{}
 			cursor = j.seq
 		}
 	}
-	return fresh, cursor, j.state, j.changed
+	return fresh, cursor, j.state, j.changedLocked()
 }
 
 // queryStats returns the oracle-level timing snapshot recorded for the job.
@@ -328,4 +286,84 @@ func (j *Job) phaseSummary() map[string]int64 {
 		out[sp.Name] += sp.DurationNS
 	}
 	return out
+}
+
+// jobRecord is the JSON persisted per terminal job under
+// <DataDir>/jobs/<id>.json. Only terminal states are written: queued and
+// running jobs are in-memory creatures that do not survive a restart, but
+// a finished — and in particular a canceled — job's outcome does, so
+// clients polling across a daemon restart still see what happened.
+type jobRecord struct {
+	ID       string      `json:"id"`
+	State    JobState    `json:"state"`
+	Oracle   string      `json:"oracle"`
+	Seeds    int         `json:"seeds"`
+	Created  time.Time   `json:"created_at"`
+	Started  time.Time   `json:"started_at,omitempty"`
+	Finished time.Time   `json:"finished_at,omitempty"`
+	Error    string      `json:"error,omitempty"`
+	Stats    *core.Stats `json:"stats,omitempty"`
+	// Spans is the learner's phase trace, kept with the record so restored
+	// jobs still answer span queries after a restart.
+	Spans []telemetry.Span `json:"spans,omitempty"`
+}
+
+func (j *Job) recordLocked() any {
+	rec := jobRecord{
+		ID:       j.ID,
+		State:    j.state,
+		Oracle:   j.Spec.Oracle.String(),
+		Seeds:    j.seedCount,
+		Created:  j.created,
+		Started:  j.started,
+		Finished: j.finished,
+		Error:    j.err,
+		Spans:    j.spans,
+	}
+	if j.state == JobDone {
+		st := j.stats
+		rec.Stats = &st
+	}
+	return rec
+}
+
+// endLocked drops the seeds: GrammarMeta keeps them.
+func (j *Job) endLocked() { j.seeds = nil }
+
+// decodeJob restores a job from its record.
+func decodeJob(data []byte) (*Job, error) {
+	var rec jobRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return nil, err
+	}
+	j := &Job{
+		lifecycle: lifecycle{
+			ID:       rec.ID,
+			state:    rec.State,
+			err:      rec.Error,
+			created:  rec.Created,
+			started:  rec.Started,
+			finished: rec.Finished,
+		},
+		seedCount: rec.Seeds,
+		spans:     rec.Spans,
+	}
+	j.Spec.Oracle = specFromName(rec.Oracle)
+	if rec.Stats != nil {
+		j.stats = *rec.Stats
+	}
+	return j, nil
+}
+
+// specFromName reconstructs a display-only oracle.Spec from the persisted
+// "kind:detail" string (oracle.ParseSpec inverts Spec.String), so restored
+// jobs render the same oracle column. The spec is not guaranteed runnable
+// (exec argv quoting is lossy); restored jobs are terminal and never
+// rebuild their oracle.
+func specFromName(name string) oracle.Spec {
+	sp, err := oracle.ParseSpec(name)
+	if err != nil {
+		return oracle.Spec{}
+	}
+	return sp
 }

@@ -97,32 +97,40 @@ func TestGenerateRespectsContext(t *testing.T) {
 	}
 }
 
-// TestPruneKeepsActiveJobs checks ledger pruning evicts only finished jobs
-// and only beyond the history bound.
+// TestPruneKeepsActiveJobs checks ledger pruning evicts only finished runs
+// and only beyond the history bound, for the job and campaign ledgers alike.
 func TestPruneKeepsActiveJobs(t *testing.T) {
-	s := &Server{jobs: map[string]*Job{}}
-	mk := func(state JobState) *Job {
-		j := newJob(JobSpec{})
-		j.state = state
-		s.jobs[j.ID] = j
-		s.order = append(s.order, j)
-		return j
+	t.Run("jobs", func(t *testing.T) {
+		checkPruneKeepsActive(t, func() *Job { return newJob(JobSpec{}) })
+	})
+	t.Run("campaigns", func(t *testing.T) {
+		checkPruneKeepsActive(t, func() *CampaignRun { return newCampaignRun(CampaignSpec{}) })
+	})
+}
+
+func checkPruneKeepsActive[R runner](t *testing.T, newRun func() R) {
+	l := &ledger[R]{byID: map[string]R{}}
+	mk := func(state JobState) R {
+		r := newRun()
+		r.life().state = state
+		l.addLocked(r)
+		return r
 	}
 	running := mk(JobRunning)
-	for i := 0; i < maxJobHistory+10; i++ {
+	for i := 0; i < maxHistory+10; i++ {
 		mk(JobDone)
 	}
-	s.mu.Lock()
-	s.pruneLocked()
-	s.mu.Unlock()
-	if len(s.order) != maxJobHistory {
-		t.Fatalf("ledger size %d after prune, want %d", len(s.order), maxJobHistory)
+	l.mu.Lock()
+	l.pruneLocked()
+	l.mu.Unlock()
+	if len(l.order) != maxHistory {
+		t.Fatalf("ledger size %d after prune, want %d", len(l.order), maxHistory)
 	}
-	if _, ok := s.jobs[running.ID]; !ok {
-		t.Fatal("running job was evicted")
+	if _, ok := l.byID[running.life().ID]; !ok {
+		t.Fatal("running run was evicted")
 	}
-	if s.order[0] != running {
-		t.Fatal("running job lost its slot")
+	if l.order[0].life() != running.life() {
+		t.Fatal("running run lost its slot")
 	}
 }
 

@@ -36,7 +36,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -46,6 +45,7 @@ import (
 
 	"glade/internal/core"
 	"glade/internal/metrics"
+	"glade/internal/oracle"
 	"glade/internal/telemetry"
 )
 
@@ -191,9 +191,9 @@ func (c Config) resolveRetries(req *int) int {
 	return min(r, c.MaxRetries)
 }
 
-// Server is the glade-serve daemon: a grammar store, a bounded-concurrency
-// job manager, a pooled fuzz generator, and the HTTP handler tying them
-// together. Create with New, serve its Handler, Close on shutdown.
+// Server is the glade-serve daemon: a grammar store, bounded-concurrency
+// ledgers of learn jobs and campaigns, a pooled fuzz generator, and the
+// HTTP handler tying them together. Create with New, serve its Handler, Close on shutdown.
 type Server struct {
 	cfg     Config
 	store   *Store
@@ -216,15 +216,10 @@ type Server struct {
 	// probe and in-flight requests finish normally.
 	draining atomic.Bool
 
-	mu        sync.Mutex
-	jobs      map[string]*Job
-	order     []*Job // submission order, for listing
-	queue     chan *Job
-	campaigns map[string]*CampaignRun
-	campOrder []*CampaignRun // submission order, for listing
-	campQueue chan *CampaignRun
+	jobs      *ledger[*Job]
+	campaigns *ledger[*CampaignRun]
 	wg        sync.WaitGroup
-	done      chan struct{}
+	closeOnce sync.Once
 }
 
 // New opens the store under cfg.DataDir (loading grammars learned by
@@ -248,25 +243,21 @@ func New(cfg Config) (*Server, error) {
 		reg:        reg,
 		met:        newServerMetrics(reg),
 		validating: make(chan struct{}, cfg.MaxValidating),
-		jobs:       map[string]*Job{},
-		queue:      make(chan *Job, cfg.QueueDepth),
-		campaigns:  map[string]*CampaignRun{},
-		campQueue:  make(chan *CampaignRun, cfg.QueueDepth),
-		done:       make(chan struct{}),
 	}
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
+	s.jobs = newLedger(s, "job", s.met.jobs, decodeJob)
+	s.jobs.onFinish = func(j *Job) {
+		if j.state == JobDone {
+			s.met.oracleQueries.Add(uint64(j.stats.OracleQueries))
+		}
+	}
+	s.campaigns = newLedger(s, "campaign", s.met.campaigns, decodeCampaign)
 	s.registerGauges()
-	s.loadJobs()
-	s.loadCampaigns()
+	s.jobs.restore()
+	s.campaigns.restore()
 	s.handler = s.routes()
-	for i := 0; i < cfg.MaxJobs; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-	for i := 0; i < cfg.MaxCampaigns; i++ {
-		s.wg.Add(1)
-		go s.campWorker()
-	}
+	s.jobs.start(cfg.MaxJobs, &s.wg, s.run)
+	s.campaigns.start(cfg.MaxCampaigns, &s.wg, s.runCampaign)
 	s.log.Info("store loaded", "grammars", len(store.List()), "dir", store.Dir())
 	return s, nil
 }
@@ -300,53 +291,17 @@ func (s *Server) Ready() bool { return !s.draining.Load() }
 // finish. Work still queued races the shutdown drain: each item is either
 // run by a worker or marked failed here. Close is idempotent.
 func (s *Server) Close() {
-	s.draining.Store(true)
-	s.mu.Lock()
-	select {
-	case <-s.done:
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	default:
-	}
-	close(s.done)
-	close(s.queue)     // Submit holds s.mu around its send, so this is safe
-	close(s.campQueue) // likewise SubmitCampaign
-	s.mu.Unlock()
-	// Campaigns run until their duration elapses; cancelling the base
-	// context ends their fuzzing now (a cancelled campaign still finalizes
-	// and persists its report), and aborts a campaign mid learn-phase too —
-	// core.Learn observes the cancellation within one oracle wave.
-	s.cancelBase()
-	for j := range s.queue {
-		j.mu.Lock()
-		if j.state.terminal() { // cancelled while queued; already recorded
-			j.mu.Unlock()
-			continue
-		}
-		j.state = JobFailed
-		j.err = "server shut down before the job ran"
-		j.finished = time.Now()
-		j.seeds = nil
-		j.touch()
-		j.mu.Unlock()
-		s.met.jobFinished(JobFailed)
-		s.persistJob(j)
-	}
-	for cr := range s.campQueue {
-		cr.mu.Lock()
-		if cr.state.terminal() { // cancelled while queued; already recorded
-			cr.mu.Unlock()
-			continue
-		}
-		cr.state = JobFailed
-		cr.err = "server shut down before the campaign ran"
-		cr.finished = time.Now()
-		cr.touch()
-		cr.mu.Unlock()
-		s.met.campaignFinished(JobFailed)
-		s.persistCampaign(cr)
-	}
+	s.closeOnce.Do(func() {
+		s.draining.Store(true)
+		// Campaigns run until their duration elapses; cancelling the base
+		// context ends their fuzzing now (a cancelled campaign still
+		// finalizes and persists its report), and aborts a campaign mid
+		// learn-phase too — core.Learn observes the cancellation within one
+		// oracle wave.
+		s.cancelBase()
+		s.jobs.drain()
+		s.campaigns.drain()
+	})
 	s.wg.Wait()
 }
 
@@ -384,12 +339,8 @@ func (s *Server) SubmitWithID(ctx context.Context, spec JobSpec, id string) (*Jo
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("no seeds: pass seeds or use a builtin oracle with bundled seeds")
 	}
-	total := 0
-	for _, seed := range seeds {
-		total += len(seed)
-	}
-	if total > s.cfg.MaxSeedBytes {
-		return nil, fmt.Errorf("seed payload %d bytes exceeds limit %d", total, s.cfg.MaxSeedBytes)
+	if err := s.checkSeedBytes(seeds); err != nil {
+		return nil, err
 	}
 	j := newJob(spec)
 	if id != "" {
@@ -398,37 +349,38 @@ func (s *Server) SubmitWithID(ctx context.Context, spec JobSpec, id string) (*Jo
 	j.seeds = seeds
 	j.seedCount = len(seeds)
 	j.reqID = requestID(ctx)
-
-	s.mu.Lock()
-	// Refuse new work from the moment draining begins (Drain or Close):
-	// a queued job accepted now might be abandoned mid-shutdown.
-	if s.draining.Load() {
-		s.mu.Unlock()
-		return nil, errDraining
+	if err := s.jobs.submit(j); err != nil {
+		return nil, err
 	}
-	select {
-	case <-s.done:
-		s.mu.Unlock()
-		return nil, errDraining
-	default:
-	}
-	if _, dup := s.jobs[j.ID]; dup {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: job %q", errDuplicateID, j.ID)
-	}
-	select {
-	case s.queue <- j:
-	default:
-		s.mu.Unlock()
-		return nil, errQueueFull
-	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j)
-	s.pruneLocked()
-	s.mu.Unlock()
-	s.met.jobsSubmitted.Inc()
-	j.log(s.log).Info("job queued", "oracle", spec.Oracle.String(), "seeds", len(seeds))
+	s.jobs.logger(j).Info("job queued", "oracle", spec.Oracle.String(), "seeds", len(seeds))
 	return j, nil
+}
+
+// storeLearned stores a freshly learned grammar under id, recording the
+// oracle and seeds it was learned from.
+func (s *Server) storeLearned(id string, sp oracle.Spec, seeds []string, res *core.Result) error {
+	return s.store.Put(res.Grammar, GrammarMeta{
+		ID:        id,
+		Oracle:    sp.String(),
+		Spec:      sp,
+		Seeds:     seeds,
+		CreatedAt: time.Now().UTC(),
+		Queries:   res.Stats.OracleQueries,
+		Seconds:   res.Stats.Duration.Seconds(),
+		TimedOut:  res.Stats.TimedOut,
+	})
+}
+
+// checkSeedBytes enforces Config.MaxSeedBytes on a seed payload.
+func (s *Server) checkSeedBytes(seeds []string) error {
+	total := 0
+	for _, seed := range seeds {
+		total += len(seed)
+	}
+	if total > s.cfg.MaxSeedBytes {
+		return fmt.Errorf("seed payload %d bytes exceeds limit %d", total, s.cfg.MaxSeedBytes)
+	}
+	return nil
 }
 
 var (
@@ -437,60 +389,18 @@ var (
 	errExecDisabled = fmt.Errorf("exec oracles are disabled on this server; start glade-serve with -allow-exec to permit them")
 )
 
-// maxJobHistory bounds retained job records. Grammars and their metadata
-// live on in the store; only the in-memory job ledger is pruned.
-const maxJobHistory = 1024
-
-// pruneLocked evicts the oldest finished jobs once the ledger outgrows
-// maxJobHistory, so a long-lived daemon's memory stays bounded. Queued and
-// running jobs are never evicted; evicted terminal jobs keep their
-// persisted record on disk. Callers hold s.mu; j.mu nests under it (no
-// path locks them in the opposite order).
-func (s *Server) pruneLocked() {
-	excess := len(s.order) - maxJobHistory
-	if excess <= 0 {
-		return
-	}
-	kept := s.order[:0]
-	for _, j := range s.order {
-		if excess > 0 {
-			j.mu.Lock()
-			terminal := j.state.terminal()
-			j.mu.Unlock()
-			if terminal {
-				delete(s.jobs, j.ID)
-				excess--
-				continue
-			}
-		}
-		kept = append(kept, j)
-	}
-	s.order = kept
-}
-
 // Job returns a submitted job by id.
-func (s *Server) Job(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
-}
+func (s *Server) Job(id string) (*Job, bool) { return s.jobs.get(id) }
 
 // Jobs lists jobs in submission order.
-func (s *Server) Jobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Job(nil), s.order...)
-}
+func (s *Server) Jobs() []*Job { return s.jobs.list() }
 
-// worker drains the queue, running one job at a time; MaxJobs workers give
-// the service its bounded job concurrency.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for j := range s.queue {
-		s.run(j)
-	}
-}
+// CancelJob cancels a job by id: a queued job flips to canceled
+// immediately (the scheduler will skip it), a running job has its context
+// cancelled and reaches canceled as soon as the learner unwinds — within
+// one oracle wave. Cancelling a job already in a terminal state reports
+// errAlreadyTerminal.
+func (s *Server) CancelJob(id string) (*Job, error) { return s.jobs.cancel(id) }
 
 // jobDeadlineGrace is the headroom the hard per-job context deadline adds
 // over the soft learner timeout. The soft timeout (core.Options.Timeout)
@@ -500,16 +410,12 @@ const jobDeadlineGrace = 30 * time.Second
 
 // run executes one learn job on the core/oracle engine under a per-job
 // context — cancelled by DELETE /v1/jobs/{id} and bounded by
-// context.WithTimeout — and persists the resulting grammar.
+// context.WithTimeout — and stores the resulting grammar.
 func (s *Server) run(j *Job) {
 	j.mu.Lock()
-	if j.state.terminal() { // cancelled while queued
-		j.mu.Unlock()
-		return
-	}
+	seeds := j.seeds
 	j.mu.Unlock()
-
-	opts := j.Spec.resolveOptions(s.cfg, j.seeds)
+	opts := j.Spec.resolveOptions(s.cfg, seeds)
 	var reqRetries *int
 	if j.Spec.Options != nil {
 		reqRetries = j.Spec.Options.Retries
@@ -517,7 +423,7 @@ func (s *Server) run(j *Job) {
 	o, _, err := s.buildResilientOracle(j.Spec.Oracle, opts.Workers, s.cfg.resolveRetries(reqRetries), s.met.resilientJob)
 	if err != nil {
 		// Validated at submission; only reachable if a builtin vanished.
-		s.finish(j, nil, err)
+		s.jobs.finish(j, err, nil)
 		return
 	}
 	timer := metrics.NewQueryTimer(o)
@@ -540,128 +446,31 @@ func (s *Server) run(j *Job) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), hard)
 	defer cancel()
-
-	j.mu.Lock()
-	// Re-check under the same lock that flips to running: a DELETE that
-	// landed while the oracle was being built has already recorded (and
-	// persisted) the canceled state, which must not be overwritten.
-	if j.state.terminal() {
-		j.mu.Unlock()
+	// A DELETE that landed while the oracle was being built has already
+	// recorded canceled; begin refuses to resurrect it.
+	if !j.begin(func() { j.cancel = cancel }) {
 		return
 	}
-	j.state = JobRunning
-	j.started = time.Now()
-	j.cancel = cancel
-	j.touch()
-	j.mu.Unlock()
-	j.log(s.log).Info("job running", "workers", opts.Workers, "timeout", opts.Timeout, "hard_deadline", hard)
+	log := s.jobs.logger(j)
+	log.Info("job running", "workers", opts.Workers, "timeout", opts.Timeout, "hard_deadline", hard)
 
-	res, err := core.Learn(ctx, j.seeds, timer, opts)
-
-	j.mu.Lock()
-	j.queries = timer.Snapshot()
-	j.spans = spans.Spans()
-	j.cancel = nil
-	j.mu.Unlock()
-	s.finish(j, res, err)
-}
-
-// finish moves a job to its terminal state, persisting the grammar on
-// success and the terminal record either way. A context cancellation that
-// was requested over the API lands in JobCanceled; every other error in
-// JobFailed.
-func (s *Server) finish(j *Job, res *core.Result, err error) {
+	res, err := core.Learn(ctx, seeds, timer, opts)
 	if err == nil {
-		meta := GrammarMeta{
-			ID:        j.ID,
-			Oracle:    j.Spec.Oracle.String(),
-			Spec:      j.Spec.Oracle,
-			Seeds:     j.seeds,
-			CreatedAt: time.Now().UTC(),
-			Queries:   res.Stats.OracleQueries,
-			Seconds:   res.Stats.Duration.Seconds(),
-			TimedOut:  res.Stats.TimedOut,
+		err = s.storeLearned(j.ID, j.Spec.Oracle, seeds, res)
+	}
+	state, _ := s.jobs.finish(j, err, func() {
+		j.queries = timer.Snapshot()
+		j.spans = spans.Spans()
+		if res != nil {
+			j.stats = res.Stats
 		}
-		err = s.store.Put(res.Grammar, meta)
-	}
-	j.mu.Lock()
-	j.finished = time.Now()
-	j.seeds = nil // persisted in GrammarMeta; no reason to hold them here
-	switch {
-	case err == nil:
-		j.state = JobDone
-		j.stats = res.Stats
-	case j.cancelRequested && errors.Is(err, context.Canceled):
-		j.state = JobCanceled
-		j.err = "canceled by request"
-	default:
-		j.state = JobFailed
-		j.err = err.Error()
-	}
-	state := j.state
-	j.touch()
-	j.mu.Unlock()
-	s.met.jobFinished(state)
-	s.persistJob(j)
+	})
 	switch state {
 	case JobDone:
-		s.met.oracleQueries.Add(uint64(res.Stats.OracleQueries))
-		j.log(s.log).Info("job done",
-			"queries", res.Stats.OracleQueries,
-			"seconds", res.Stats.Duration.Seconds())
+		log.Info("job done", "queries", res.Stats.OracleQueries, "seconds", res.Stats.Duration.Seconds())
 	case JobCanceled:
-		j.log(s.log).Info("job canceled")
-	default:
-		j.log(s.log).Warn("job failed", "error", err)
+		log.Info("job canceled")
+	case JobFailed:
+		log.Warn("job failed", "error", err)
 	}
 }
-
-// CancelJob cancels a job by id: a queued job flips to canceled
-// immediately (the scheduler will skip it), a running job has its context
-// cancelled and reaches canceled as soon as the learner unwinds — within
-// one oracle wave. Cancelling a job already in a terminal state reports
-// errAlreadyTerminal.
-func (s *Server) CancelJob(id string) (*Job, error) {
-	j, ok := s.Job(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: no job %q", errNotFound, id)
-	}
-	j.mu.Lock()
-	switch {
-	case j.state.terminal():
-		j.mu.Unlock()
-		return j, errAlreadyTerminal
-	case j.state == JobQueued:
-		j.state = JobCanceled
-		j.err = "canceled by request"
-		j.finished = time.Now()
-		j.seeds = nil
-		j.cancelRequested = true
-		// A worker may have popped this job already and be building its
-		// oracle; it re-checks the terminal state before running, and the
-		// cancel (when the context is already set up) stops it regardless.
-		cancel := j.cancel
-		j.touch()
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		s.met.jobFinished(JobCanceled)
-		s.persistJob(j)
-		j.log(s.log).Info("job canceled while queued")
-		return j, nil
-	default: // running
-		j.cancelRequested = true
-		cancel := j.cancel
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		j.log(s.log).Info("job cancellation requested")
-		return j, nil
-	}
-}
-
-// errAlreadyTerminal tags cancellations of work that already finished, so
-// the HTTP layer can answer 409 instead of 404/400.
-var errAlreadyTerminal = fmt.Errorf("already in a terminal state")

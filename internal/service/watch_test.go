@@ -22,10 +22,9 @@ func TestWatchIncrementalDelivery(t *testing.T) {
 	// Install a queued job directly in the ledger; the test plays the role
 	// of the scheduler worker.
 	j := newJob(JobSpec{Oracle: oracle.Spec{Type: oracle.SpecProgram, Name: "grep"}})
-	srv.mu.Lock()
-	srv.jobs[j.ID] = j
-	srv.order = append(srv.order, j)
-	srv.mu.Unlock()
+	srv.jobs.mu.Lock()
+	srv.jobs.addLocked(j)
+	srv.jobs.mu.Unlock()
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + j.ID + "?watch=1")
 	if err != nil {
