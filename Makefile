@@ -15,15 +15,17 @@ test:
 	go test -race ./...
 	go test -race -count=10 -run 'Campaign|Cancel|Watch|Prune|Lifecycle|Persist' ./internal/service
 
-# Formatting and static checks (gofmt + go vet + doc-comment, API-lock,
-# and markdown-link checks; no external linters).
+# Formatting and static checks (gofmt + go vet of the root and benchmark
+# modules + doc-comment, API-lock, and markdown-link checks; no external
+# linters).
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 	go vet ./...
-	go run ./scripts/doccheck . internal/service internal/fuzz internal/campaign internal/oracle internal/oracle/registry internal/metrics internal/core internal/telemetry internal/cluster internal/loadgen
+	cd benchmark && go vet ./...
+	go run ./scripts/doccheck . internal/service internal/fuzz internal/campaign internal/oracle internal/oracle/registry internal/metrics internal/core internal/telemetry internal/cluster internal/loadgen internal/targets internal/lstar internal/bench internal/programs internal/rpni internal/automata internal/cfg internal/rex internal/bytesets
 	go run ./scripts/apilock
 	./scripts/linkcheck.sh
 

@@ -142,8 +142,7 @@ func Learn(ctx context.Context, seeds []string, o oracle.CheckOracle, opts Optio
 	// worker pool fanning batch waves out over the user's oracle. At
 	// Workers <= 1 the pool is omitted and every query is issued
 	// sequentially, exactly as the paper's algorithm. Underlying-query
-	// accounting comes from the cache's miss counter, so no counting
-	// wrapper is needed.
+	// accounting comes from the cache's miss counter.
 	inner := o
 	if workers > 1 {
 		inner = oracle.Parallel(o, workers)

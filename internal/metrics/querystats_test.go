@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -14,10 +15,16 @@ func TestQueryTimerCounts(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		return s == "yes"
 	}))
-	if !q.Accepts("yes") || q.Accepts("no") {
+	ctx := context.Background()
+	yes, err1 := q.Check(ctx, "yes")
+	no, err2 := q.Check(ctx, "no")
+	if err1 != nil || err2 != nil || yes != oracle.Accept || no != oracle.Reject {
 		t.Fatal("timer altered oracle answers")
 	}
-	q.AcceptsBatch([]string{"yes", "no", "yes"})
+	vs, err := q.CheckBatch(ctx, []string{"yes", "no", "yes"})
+	if err != nil || vs[0] != oracle.Accept || vs[1] != oracle.Reject || vs[2] != oracle.Accept {
+		t.Fatalf("timer altered batch answers: %v, %v", vs, err)
+	}
 	s := q.Snapshot()
 	if s.Queries != 5 {
 		t.Fatalf("Queries = %d, want 5", s.Queries)
@@ -56,7 +63,9 @@ func TestQueryTimerThroughputScales(t *testing.T) {
 
 	measure := func(workers int) QueryStats {
 		q := NewQueryTimer(slow)
-		oracle.Parallel(q, workers).AcceptsBatch(inputs)
+		if _, err := oracle.Parallel(q, workers).CheckBatch(context.Background(), inputs); err != nil {
+			t.Fatal(err)
+		}
 		return q.Snapshot()
 	}
 	seq := measure(1)
@@ -135,7 +144,7 @@ func TestQueryTimerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				q.Accepts("x")
+				q.Check(context.Background(), "x")
 			}
 		}()
 	}

@@ -19,10 +19,9 @@ var conformanceInputs = []string{
 }
 
 // testBatchConformance is the shared conformance suite of the batch-oracle
-// contracts: the bulk path must agree with the single path elementwise, in
+// contract: the bulk path must agree with the single path elementwise, in
 // input order, including duplicates and the empty batch, and must be safe
-// to call concurrently with itself and with single queries. Both the v2
-// CheckBatch path and the legacy AcceptsBatch shim are exercised.
+// to call concurrently with itself and with single queries.
 func testBatchConformance(t *testing.T, name string, mk func() BatchCheckOracle) {
 	ctx := context.Background()
 	t.Run(name+"/agrees-with-check", func(t *testing.T) {
@@ -50,19 +49,6 @@ func testBatchConformance(t *testing.T, name string, mk func() BatchCheckOracle)
 			}
 			if v != got[i] {
 				t.Errorf("Check(%q) disagrees with CheckBatch[%d]", in, i)
-			}
-		}
-	})
-	t.Run(name+"/legacy-shim-agrees", func(t *testing.T) {
-		o := mk()
-		legacy, ok := any(o).(BatchOracle)
-		if !ok {
-			t.Fatalf("%T does not keep the legacy BatchOracle shim", o)
-		}
-		got := legacy.AcceptsBatch(conformanceInputs)
-		for i, in := range conformanceInputs {
-			if got[i] != hasA(in) {
-				t.Errorf("AcceptsBatch[%d] (%q) = %v, want %v", i, in, got[i], hasA(in))
 			}
 		}
 	})
@@ -116,28 +102,10 @@ func TestBatchConformance(t *testing.T) {
 	testBatchConformance(t, "Cached-of-Pool", func() BatchCheckOracle {
 		return NewCached(Parallel(mkInner(), 4))
 	})
-	testBatchConformance(t, "Counting", func() BatchCheckOracle {
-		return NewCounting(mkInner())
-	})
-	testBatchConformance(t, "Counting-of-Pool", func() BatchCheckOracle {
-		return NewCounting(Parallel(mkInner(), 4))
-	})
 	if !testing.Short() {
 		testBatchConformance(t, "Exec", func() BatchCheckOracle {
 			return &Exec{Argv: []string{"grep", "-q", "a"}, Workers: 4}
 		})
-	}
-}
-
-func TestAcceptsAllFallback(t *testing.T) {
-	// A bare v1 oracle has no bulk path; AcceptsAll must fall back
-	// sequentially.
-	got := AcceptsAll(plainBool{yes: "a"}, []string{"a", "b", "a"})
-	want := []bool{true, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AcceptsAll[%d] = %v, want %v", i, got[i], want[i])
-		}
 	}
 }
 
@@ -184,8 +152,8 @@ func TestCachedInflightDedup(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			started <- struct{}{}
-			if !c.Accepts("same-key") {
-				t.Error("dedup returned wrong value")
+			if v, err := c.Check(context.Background(), "same-key"); err != nil || v != Accept {
+				t.Errorf("dedup returned %v, %v", v, err)
 			}
 		}()
 	}
@@ -217,7 +185,7 @@ func TestCachedInflightWaiterCancel(t *testing.T) {
 	owner := make(chan struct{})
 	go func() {
 		close(owner)
-		c.Accepts("slow-key")
+		c.Check(context.Background(), "slow-key")
 	}()
 	<-owner
 	// Give the owner a moment to register its in-flight call; then a waiter
@@ -242,12 +210,18 @@ func TestCachedBatchDedup(t *testing.T) {
 		calls.Add(1)
 		return hasA(s)
 	}))
-	c.Accepts("abc") // pre-cache one key
-	got := c.AcceptsBatch([]string{"abc", "new-a", "xyz", "new-a", "abc"})
-	want := []bool{true, true, false, true, true}
+	ctx := context.Background()
+	if _, err := c.Check(ctx, "abc"); err != nil { // pre-cache one key
+		t.Fatal(err)
+	}
+	got, err := c.CheckBatch(ctx, []string{"abc", "new-a", "xyz", "new-a", "abc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Verdict{Accept, Accept, Reject, Accept, Accept}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("AcceptsBatch[%d] = %v, want %v", i, got[i], want[i])
+			t.Fatalf("CheckBatch[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 	if n := calls.Load(); n != 3 { // abc, new-a, xyz — each exactly once
@@ -270,7 +244,7 @@ func TestCachedStatsConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Accepts(fmt.Sprintf("key-%d", i%37))
+				c.Check(context.Background(), fmt.Sprintf("key-%d", i%37))
 			}
 		}(g)
 	}
@@ -329,14 +303,5 @@ func TestPoolErrorStopsDispatch(t *testing.T) {
 	}
 	if n := calls.Load(); n >= 1000 {
 		t.Fatalf("error did not stop dispatch: %d calls", n)
-	}
-}
-
-func TestCountingBatch(t *testing.T) {
-	c := NewCounting(Func(hasA))
-	c.AcceptsBatch([]string{"a", "b", "c"})
-	c.Accepts("d")
-	if c.Queries() != 4 {
-		t.Fatalf("Queries = %d, want 4", c.Queries())
 	}
 }

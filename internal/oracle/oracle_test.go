@@ -10,9 +10,6 @@ import (
 
 func TestFunc(t *testing.T) {
 	o := Func(func(s string) bool { return strings.HasPrefix(s, "ok") })
-	if !o.Accepts("ok then") || o.Accepts("nope") {
-		t.Fatal("Func adapter wrong")
-	}
 	v, err := o.Check(context.Background(), "ok then")
 	if err != nil || v != Accept {
 		t.Fatalf("Check = %v, %v, want accept", v, err)
@@ -39,56 +36,17 @@ func TestVerdictString(t *testing.T) {
 	}
 }
 
-func TestAdapters(t *testing.T) {
-	// AsCheck on a plain v1 oracle maps booleans to verdicts.
-	v1 := plainBool{yes: "member"}
-	c := AsCheck(v1)
-	if v, err := c.Check(context.Background(), "member"); err != nil || v != Accept {
-		t.Fatalf("AsCheck accept = %v, %v", v, err)
-	}
-	if v, err := c.Check(context.Background(), "other"); err != nil || v != Reject {
-		t.Fatalf("AsCheck reject = %v, %v", v, err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := c.Check(ctx, "member"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AsCheck cancelled err = %v", err)
-	}
-	// AsCheck on something already implementing CheckOracle is the identity.
-	f := Func(func(s string) bool { return true })
-	if AsCheck(f).(Func) == nil {
-		t.Fatal("AsCheck did not pass a CheckOracle through")
-	}
-	// AsBool collapses verdicts; errors read as rejection.
-	cb := CheckFunc(func(ctx context.Context, s string) (Verdict, error) {
-		switch s {
-		case "in":
-			return Accept, nil
-		case "boom":
-			return Reject, errors.New("oracle broke")
-		}
-		return Crash, nil
-	})
-	b := AsBool(cb)
-	if !b.Accepts("in") || b.Accepts("out") || b.Accepts("boom") {
-		t.Fatal("AsBool collapse wrong")
-	}
-}
-
-// plainBool implements only the v1 Oracle interface, so AsCheck must wrap
-// it rather than pass it through.
-type plainBool struct{ yes string }
-
-func (p plainBool) Accepts(s string) bool { return s == p.yes }
-
 func TestCached(t *testing.T) {
 	calls := 0
 	o := NewCached(Func(func(s string) bool {
 		calls++
 		return s == "yes"
 	}))
+	ctx := context.Background()
 	for i := 0; i < 5; i++ {
-		if !o.Accepts("yes") || o.Accepts("no") {
+		yes, err1 := o.Check(ctx, "yes")
+		no, err2 := o.Check(ctx, "no")
+		if err1 != nil || err2 != nil || yes != Accept || no != Reject {
 			t.Fatal("cached answers wrong")
 		}
 	}
@@ -101,7 +59,7 @@ func TestCached(t *testing.T) {
 	}
 }
 
-// TestCachedErrorNotMemoized is the v2 cache contract: a query that fails
+// TestCachedErrorNotMemoized is the cache contract: a query that fails
 // with an oracle error must not be cached, so the same key asked again
 // reaches the oracle — cancellation artifacts cannot poison the memo.
 func TestCachedErrorNotMemoized(t *testing.T) {
@@ -153,34 +111,21 @@ func TestCachedBatchErrorNotMemoized(t *testing.T) {
 	}
 }
 
-func TestCounting(t *testing.T) {
-	o := NewCounting(Func(func(s string) bool { return true }))
-	for i := 0; i < 7; i++ {
-		o.Accepts("x")
-	}
-	if o.Queries() != 7 {
-		t.Fatalf("Queries = %d", o.Queries())
-	}
-}
-
 func TestExecTrueFalse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exec oracle spawns processes")
 	}
+	ctx := context.Background()
 	yes := &Exec{Argv: []string{"true"}}
 	no := &Exec{Argv: []string{"false"}}
-	if !yes.Accepts("anything") {
-		t.Fatal("true command rejected")
+	if v, err := yes.Check(ctx, "anything"); err != nil || v != Accept {
+		t.Fatalf("true command = %v, %v, want accept", v, err)
 	}
-	if no.Accepts("anything") {
-		t.Fatal("false command accepted")
+	if v, err := no.Check(ctx, "anything"); err != nil || v != Reject {
+		t.Fatalf("false command = %v, %v, want reject", v, err)
 	}
-	empty := &Exec{}
-	if empty.Accepts("x") {
-		t.Fatal("empty argv accepted")
-	}
-	// On the v2 path an empty argv is an oracle error, not a rejection.
-	if _, err := empty.Check(context.Background(), "x"); err == nil {
+	// An empty argv is an oracle error, not a rejection.
+	if _, err := (&Exec{}).Check(ctx, "x"); err == nil {
 		t.Fatal("empty argv Check returned no error")
 	}
 }
@@ -191,11 +136,11 @@ func TestExecReadsStdin(t *testing.T) {
 	}
 	// grep -q ok: exit 0 iff stdin contains "ok".
 	o := &Exec{Argv: []string{"grep", "-q", "ok"}}
-	if !o.Accepts("this is ok") {
-		t.Fatal("grep oracle rejected matching input")
+	if v, err := o.Check(context.Background(), "this is ok"); err != nil || v != Accept {
+		t.Fatalf("grep oracle on matching input = %v, %v", v, err)
 	}
-	if o.Accepts("nothing here") {
-		t.Fatal("grep oracle accepted non-matching input")
+	if v, err := o.Check(context.Background(), "nothing here"); err != nil || v != Reject {
+		t.Fatalf("grep oracle on non-matching input = %v, %v", v, err)
 	}
 }
 
@@ -216,8 +161,8 @@ func TestExecTimeoutKillsHangingTarget(t *testing.T) {
 	}
 	// A fast run under the same timeout is unaffected.
 	fast := &Exec{Argv: []string{"true"}, Timeout: 5 * time.Second}
-	if !fast.Accepts("x") {
-		t.Fatal("fast run under timeout rejected")
+	if v, err := fast.Check(context.Background(), "x"); err != nil || v != Accept {
+		t.Fatalf("fast run under timeout = %v, %v, want accept", v, err)
 	}
 }
 
@@ -267,18 +212,10 @@ func TestExecCheckVerdicts(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: Check = %v, want %v", tc.name, got, tc.want)
 		}
-		// The deprecated Verdict shim must agree.
-		if shim := tc.o.Verdict("x"); shim != tc.want {
-			t.Errorf("%s: Verdict shim = %v, want %v", tc.name, shim, tc.want)
-		}
-	}
-	// Accepts must agree with the Check verdict.
-	if (&Exec{Argv: []string{"sh", "-c", "kill -SEGV $$"}}).Accepts("x") {
-		t.Error("crashed run reported accepted")
 	}
 }
 
-// TestExecMissingBinaryIsError is the heart of the v2 contract: an oracle
+// TestExecMissingBinaryIsError is the heart of the verdict contract: an oracle
 // that cannot run at all must answer with an error, never a silent Reject.
 func TestExecMissingBinaryIsError(t *testing.T) {
 	if testing.Short() {
@@ -289,9 +226,9 @@ func TestExecMissingBinaryIsError(t *testing.T) {
 	if err == nil {
 		t.Fatalf("missing binary answered %v with no error", v)
 	}
-	// The legacy boolean view collapses the error to a rejection.
-	if o.Accepts("x") {
-		t.Fatal("missing binary reported accepted")
+	// The error must also surface through the bulk path.
+	if _, err := o.CheckBatch(context.Background(), []string{"x", "y"}); err == nil {
+		t.Fatal("missing binary batch answered with no error")
 	}
 }
 

@@ -428,7 +428,7 @@ func (r *Resilient) backoff(ctx context.Context, attempt int, cause error) error
 		r.mu.Lock()
 		if r.state == breakerOpen {
 			if wait := r.breaker.Cooldown - time.Since(r.openedAt); wait > d {
-				d = wait + r.jitterUnlockedSafe(r.retry.BaseDelay)
+				d = wait + r.jitter(r.retry.BaseDelay)
 			}
 		}
 		r.mu.Unlock()
@@ -446,7 +446,9 @@ func (r *Resilient) backoff(ctx context.Context, attempt int, cause error) error
 	}
 }
 
-// jitter draws uniformly from [0, window).
+// jitter draws uniformly from [0, window). The jitter source has its own
+// lock, so backoff may call it while holding r.mu; rngMu is always the
+// inner of the two.
 func (r *Resilient) jitter(window time.Duration) time.Duration {
 	if window <= 0 {
 		return 0
@@ -456,13 +458,6 @@ func (r *Resilient) jitter(window time.Duration) time.Duration {
 	return time.Duration(r.rng.Int63n(int64(window)))
 }
 
-// jitterUnlockedSafe is jitter for call sites already holding r.mu; the
-// jitter source has its own lock, so this is safe — the name just
-// documents that r.mu and rngMu never nest the other way.
-func (r *Resilient) jitterUnlockedSafe(window time.Duration) time.Duration {
-	return r.jitter(window)
-}
-
 // CheckBatch fans the batch out over the configured worker count, with
 // every query going through the retry/breaker loop. It deliberately does
 // not delegate to the inner oracle's own batch path, which would bypass
@@ -470,9 +465,3 @@ func (r *Resilient) jitterUnlockedSafe(window time.Duration) time.Duration {
 func (r *Resilient) CheckBatch(ctx context.Context, inputs []string) ([]Verdict, error) {
 	return fanOut(ctx, r, r.workers, inputs)
 }
-
-// Accepts implements the legacy boolean Oracle interface.
-func (r *Resilient) Accepts(input string) bool { return legacyAccepts(r, input) }
-
-// AcceptsBatch implements the legacy boolean BatchOracle interface.
-func (r *Resilient) AcceptsBatch(inputs []string) []bool { return legacyAcceptsBatch(r, inputs) }

@@ -136,10 +136,16 @@ type base struct {
 	parse func(t *tracer, input string) bool
 }
 
-func (b *base) Name() string    { return b.name }
-func (b *base) Seeds() []string { return append([]string(nil), b.seeds...) }
-func (b *base) NumPoints() int  { return b.reg.numPoints() }
+// Name implements Program.
+func (b *base) Name() string { return b.name }
 
+// Seeds implements Program, returning a copy the caller may modify.
+func (b *base) Seeds() []string { return append([]string(nil), b.seeds...) }
+
+// NumPoints implements Program.
+func (b *base) NumPoints() int { return b.reg.numPoints() }
+
+// Run implements Program: it parses input under a fresh coverage tracer.
 func (b *base) Run(input string) Result {
 	t := newTracer(b.reg)
 	ok := b.parse(t, input)

@@ -18,7 +18,7 @@ func TestSeedGenProducesValidInputs(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 300; i++ {
 			s := tgt.SeedGen(rng)
-			if !tgt.Oracle.Accepts(s) {
+			if !tgt.Oracle(s) {
 				t.Fatalf("%s: oracle rejects generated seed %q", tgt.Name, s)
 			}
 			if !p.Accepts(s) {
@@ -34,7 +34,7 @@ func TestEvalSamplerValid(t *testing.T) {
 		rng := rand.New(rand.NewSource(8))
 		for i := 0; i < 100; i++ {
 			s := es(rng)
-			if !tgt.Oracle.Accepts(s) {
+			if !tgt.Oracle(s) {
 				t.Fatalf("%s: invalid eval sample %q", tgt.Name, s)
 			}
 		}

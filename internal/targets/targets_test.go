@@ -42,7 +42,7 @@ func TestDocSeedsValid(t *testing.T) {
 		}
 		p := cfg.NewParser(tgt.Grammar)
 		for _, s := range tgt.DocSeeds {
-			if !tgt.Oracle.Accepts(s) {
+			if !tgt.Oracle(s) {
 				t.Errorf("%s: oracle rejects doc seed %q", tgt.Name, s)
 			}
 			if !p.Accepts(s) {
@@ -60,7 +60,7 @@ func TestGrammarOracleAgreementOnSamples(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
 		for i := 0; i < 400; i++ {
 			s := sm.Sample(rng)
-			if !tgt.Oracle.Accepts(s) {
+			if !tgt.Oracle(s) {
 				t.Fatalf("%s: oracle rejects grammar sample %q", tgt.Name, s)
 			}
 		}
@@ -84,7 +84,7 @@ func TestGrammarOracleAgreementOnMutants(t *testing.T) {
 					continue
 				}
 				want := p.Accepts(m)
-				got := tgt.Oracle.Accepts(m)
+				got := tgt.Oracle(m)
 				if got != want {
 					t.Fatalf("%s: oracle=%v grammar=%v on %q (mutant of %q)",
 						tgt.Name, got, want, m, s)
@@ -130,7 +130,7 @@ func TestSampleSeeds(t *testing.T) {
 			t.Fatalf("duplicate seed %q", s)
 		}
 		seen[s] = true
-		if !tgt.Oracle.Accepts(s) {
+		if !tgt.Oracle(s) {
 			t.Fatalf("invalid seed %q", s)
 		}
 	}
@@ -148,7 +148,7 @@ func TestURLCases(t *testing.T) {
 		"https://www.ab.cdefgh", // 6-letter TLD
 	}
 	for _, s := range valid {
-		if !o.Accepts(s) {
+		if !o(s) {
 			t.Errorf("rejects valid %q", s)
 		}
 	}
@@ -164,7 +164,7 @@ func TestURLCases(t *testing.T) {
 		"http://ab.cd|ef", // '|' not a path char
 	}
 	for _, s := range invalid {
-		if o.Accepts(s) {
+		if o(s) {
 			t.Errorf("accepts invalid %q", s)
 		}
 	}
@@ -187,7 +187,7 @@ func TestGrepCases(t *testing.T) {
 		`ab c`,
 	}
 	for _, s := range valid {
-		if !o.Accepts(s) {
+		if !o(s) {
 			t.Errorf("rejects valid %q", s)
 		}
 	}
@@ -204,7 +204,7 @@ func TestGrepCases(t *testing.T) {
 		"a^b", // '^' is not ordinary in our grammar
 	}
 	for _, s := range invalid {
-		if o.Accepts(s) {
+		if o(s) {
 			t.Errorf("accepts invalid %q", s)
 		}
 	}
@@ -223,7 +223,7 @@ func TestLispCases(t *testing.T) {
 		"(f(g))",
 	}
 	for _, s := range valid {
-		if !o.Accepts(s) {
+		if !o(s) {
 			t.Errorf("rejects valid %q", s)
 		}
 	}
@@ -240,7 +240,7 @@ func TestLispCases(t *testing.T) {
 		"(F)", // uppercase not in alphabet
 	}
 	for _, s := range invalid {
-		if o.Accepts(s) {
+		if o(s) {
 			t.Errorf("accepts invalid %q", s)
 		}
 	}
@@ -262,7 +262,7 @@ func TestXMLCases(t *testing.T) {
 		"<a>line\nbreak</a>",
 	}
 	for _, s := range valid {
-		if !o.Accepts(s) {
+		if !o(s) {
 			t.Errorf("rejects valid %q", s)
 		}
 	}
@@ -281,7 +281,7 @@ func TestXMLCases(t *testing.T) {
 		"<a><a></a>",
 	}
 	for _, s := range invalid {
-		if o.Accepts(s) {
+		if o(s) {
 			t.Errorf("accepts invalid %q", s)
 		}
 	}
